@@ -27,10 +27,10 @@
 //   - internal/mat: MulInto and GramInto/RowGramInto are cache-blocked
 //     (4-row rank-2 GEMM micro-kernel; 4×4 upper-triangle Gram register
 //     tiles over L2-sized row blocks, lower triangle mirrored) and
-//     row-block-parallel; MulVecInto, MulVecTInto, AddScaled and the
-//     incremental eigenvalue updates run block-parallel; NewEigenSym is a
-//     tournament-ordered parallel cyclic Jacobi with an incrementally
-//     maintained off-diagonal norm.
+//     row-block-parallel; MulVecInto, MulVecTInto, AddScaled and the dense
+//     eigenvalue update run block-parallel; NewEigenSym is a
+//     tournament-ordered parallel cyclic Jacobi that rescans the
+//     off-diagonal norm once per sweep to stop at convergence.
 //   - internal/sparse: CSR SpMV is row-parallel with a grain that adapts to
 //     the average row density; SpMVᵀ reduces per-chunk dense accumulators.
 //   - internal/core: provenance capture is parallel — linear capture fans
@@ -38,7 +38,8 @@
 //     per-member linearization dots and per-class cache builds, and
 //     weightedGramCache routes through the blocked Gram kernels — and the
 //     PrIU-opt eigenbasis recurrences (Eq 17 / Sec 5.4) split across
-//     coordinates, multinomial classes update in parallel, the sparse
+//     coordinates, the PrIU-opt row-projection memo projects a batch's new
+//     rows in parallel, multinomial classes update in parallel, the sparse
 //     logistic replay fans the batch out with private step vectors.
 //   - priu/service: the session store is hash-sharded (per-shard locks and
 //     counters), batched deletions execute independent sessions' updates

@@ -18,10 +18,15 @@ import (
 // EOF having allocated no more than the actual stream size.
 const MaxElems = 1 << 27
 
+// chunkFloats is how many float64s FloatsN moves per bulk copy through the
+// codec's reused scratch buffer.
+const chunkFloats = 512
+
 // Writer accumulates little-endian values with a sticky error.
 type Writer struct {
 	W   *bufio.Writer
 	Err error
+	buf [8 * chunkFloats]byte
 }
 
 // NewWriter wraps w in a buffered sticky-error writer.
@@ -37,9 +42,8 @@ func (b *Writer) Bytes(p []byte) {
 
 // U64 writes a little-endian uint64.
 func (b *Writer) U64(v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	b.Bytes(buf[:])
+	binary.LittleEndian.PutUint64(b.buf[:8], v)
+	b.Bytes(b.buf[:8])
 }
 
 // I64 writes an int64.
@@ -66,8 +70,19 @@ func (b *Writer) Str(s string) {
 // Floats writes a length-prefixed float slice.
 func (b *Writer) Floats(v []float64) {
 	b.I64(int64(len(v)))
-	for _, x := range v {
-		b.F64(x)
+	b.FloatsN(v)
+}
+
+// FloatsN writes v's float64 bit patterns without a length prefix, encoding
+// a chunk at a time into the reused scratch buffer.
+func (b *Writer) FloatsN(v []float64) {
+	for len(v) > 0 && b.Err == nil {
+		k := min(len(v), chunkFloats)
+		for i, x := range v[:k] {
+			binary.LittleEndian.PutUint64(b.buf[8*i:], math.Float64bits(x))
+		}
+		b.Bytes(b.buf[:8*k])
+		v = v[k:]
 	}
 }
 
@@ -83,6 +98,7 @@ func (b *Writer) Flush() error {
 type Reader struct {
 	R   *bufio.Reader
 	Err error
+	buf [8 * chunkFloats]byte
 }
 
 // NewReader wraps r in a buffered sticky-error reader.
@@ -100,12 +116,11 @@ func (b *Reader) U64() uint64 {
 	if b.Err != nil {
 		return 0
 	}
-	var buf [8]byte
-	if _, err := io.ReadFull(b.R, buf[:]); err != nil {
+	if _, err := io.ReadFull(b.R, b.buf[:8]); err != nil {
 		b.Err = err
 		return 0
 	}
-	return binary.LittleEndian.Uint64(buf[:])
+	return binary.LittleEndian.Uint64(b.buf[:8])
 }
 
 // I64 reads an int64.
@@ -142,25 +157,26 @@ func (b *Reader) Floats() []float64 {
 	return b.FloatsN(n)
 }
 
-// FloatsN reads exactly n floats, growing in bounded chunks so a lying
+// FloatsN reads exactly n floats, decoding a chunk at a time from the
+// reused scratch buffer. The result grows in bounded steps, so a lying
 // header fails at EOF instead of forcing one huge upfront allocation.
 func (b *Reader) FloatsN(n int64) []float64 {
 	if b.Err != nil || n < 0 || n > MaxElems {
 		b.Fail("binio: corrupt float count %d", n)
 		return nil
 	}
-	const chunk = 1 << 16
-	cap0 := n
-	if cap0 > chunk {
-		cap0 = chunk
-	}
-	out := make([]float64, 0, cap0)
-	for int64(len(out)) < n {
-		v := b.F64()
-		if b.Err != nil {
+	out := make([]float64, 0, min(n, 1<<16))
+	for rem := n; rem > 0; {
+		k := int(min(rem, chunkFloats))
+		p := b.buf[:8*k]
+		if _, err := io.ReadFull(b.R, p); err != nil {
+			b.Err = err
 			return nil
 		}
-		out = append(out, v)
+		for i := 0; i < k; i++ {
+			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:])))
+		}
+		rem -= int64(k)
 	}
 	return out
 }

@@ -22,6 +22,16 @@
 // eigenvalue updates (linear regression), and early termination of
 // provenance tracking at ts ≈ 0.7τ with the same eigen machinery applied to
 // the stabilized C matrix (logistic regression).
+//
+// The incremental eigenvalue update (Eq 18) subtracts Σ_{r∈R} (qⱼᵀz_r)² from
+// each eigenvalue, z_r being removed row r's scaled copy. Each eigenbasis
+// memoizes the projections Qᵀ·z_r per row the first time the row is removed
+// or previewed (rowProj), so a session streaming deletions pays
+// O(|ΔR|·m²) per batch for its new rows plus O(|R|·m) to fold the
+// cumulative set, instead of O(|R|·m²) for re-projecting all of R. The
+// memo is derived state: never persisted, and bounded by n·m·8 bytes per
+// eigenbasis (the training matrix's size); FootprintBytes counts captured
+// provenance only.
 package core
 
 import (

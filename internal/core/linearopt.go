@@ -13,7 +13,9 @@ import (
 // full-data matrices M = XᵀX and N = XᵀY, eigendecomposed once offline;
 // the online update then only (a) incrementally updates the eigenvalues for
 // the removed rows (Eq 18, Ning et al.) and (b) rolls the τ iterations as
-// scalar recurrences in the eigenbasis (Eq 17) — O(min{Δn,m}·m²) + O(τm).
+// scalar recurrences in the eigenbasis (Eq 17) — O(min{Δn,m}·m²) + O(τm),
+// where for Δn < m the row-projection memo cuts the first term to
+// O(|ΔR|·m²) for the rows new since earlier calls plus O(Δn·m).
 type LinearOpt struct {
 	cfg  gbm.Config
 	data *dataset.Dataset
@@ -21,6 +23,7 @@ type LinearOpt struct {
 	eig   *mat.Eigen // eigendecomposition of M = XᵀX (Q orthogonal)
 	n     []float64  // N = XᵀY
 	model *gbm.Model // GD-approximation model over the full dataset
+	proj  *rowProj   // memoized Qᵀ·xᵢ per removed or previewed row
 }
 
 // NewLinearOpt performs the offline phase of PrIU-opt: M, N and the
@@ -55,7 +58,7 @@ func newLinearOptState(d *dataset.Dataset, cfg gbm.Config) (*LinearOpt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &LinearOpt{cfg: cfg, data: d, eig: eig, n: d.X.MulVecT(d.Y)}, nil
+	return &LinearOpt{cfg: cfg, data: d, eig: eig, n: d.X.MulVecT(d.Y), proj: newRowProj(eig, d.X, nil)}, nil
 }
 
 // Model returns the GD-approximation model trained over the full dataset
@@ -64,57 +67,50 @@ func (lo *LinearOpt) Model() *gbm.Model { return lo.model }
 
 // Update computes the updated model parameters after removing the given
 // samples, using incremental eigenvalue updates and the closed iteration of
-// Eq 17 with constant learning rate.
+// Eq 17 with constant learning rate. The updated eigenvalues of
+// M' = M − ΔXᵀΔX (Eq 18) follow the paper's two cost regimes,
+// O(min{Δn,m}·m²): for Δn < m the row-projection memo supplies each
+// removed row's eigen coordinates, projecting only rows no earlier call or
+// preview projected (O(|ΔR|·m²)) and folding the set in O(|R|·m) through
+// the what-if cursor, so a preview returns identical bits; for Δn ≥ m the
+// m×m ΔXᵀΔX is formed once and its diagonal congruence entries taken.
 func (lo *LinearOpt) Update(removed []int) (*gbm.Model, error) {
 	if lo.eig == nil {
 		return nil, ErrNoCapture
 	}
-	rm, err := gbm.RemovalSet(lo.data.N(), removed)
+	rm, ids, err := removalIDs(lo.data.N(), removed)
 	if err != nil {
 		return nil, err
 	}
 	m := lo.data.M()
-	dn := len(rm)
+	dn := len(ids)
 	nEff := lo.data.N() - dn
 	if nEff <= 0 {
 		return nil, fmt.Errorf("core: removal leaves no samples")
 	}
-
-	// Updated eigenvalues of M' = M − ΔXᵀΔX (Eq 18). Two cost regimes as in
-	// the paper's complexity analysis O(min{Δn,m}·m²):
-	// Δn < m → per-eigenvector low-rank products; otherwise form the m×m
-	// ΔXᵀΔX once and take diagonal congruence entries.
-	var cPrime []float64
-	nPrime := mat.CloneVec(lo.n)
-	if dn == 0 {
-		cPrime = mat.CloneVec(lo.eig.Values)
-	} else if dn < m {
-		dx := mat.NewDense(dn, m)
-		r := 0
-		for i := 0; i < lo.data.N(); i++ {
-			if rm[i] {
-				copy(dx.Row(r), lo.data.X.Row(i))
-				mat.Axpy(nPrime, -lo.data.Y[i], lo.data.X.Row(i))
-				r++
-			}
-		}
-		cPrime = lo.eig.UpdateValuesLowRank(dx)
-	} else {
-		delta := mat.NewDense(m, m)
-		for i := 0; i < lo.data.N(); i++ {
-			if !rm[i] {
-				continue
-			}
-			xi := lo.data.X.Row(i)
-			mat.AddOuter(delta, xi, xi, -1)
-			mat.Axpy(nPrime, -lo.data.Y[i], xi)
-		}
-		cPrime = lo.eig.UpdateValues(delta)
+	if dn < m {
+		s := lo.cursor()
+		s.fold(ids)
+		return s.Eval()
 	}
+	nPrime := mat.CloneVec(lo.n)
+	delta := mat.NewDense(m, m)
+	for i := 0; i < lo.data.N(); i++ {
+		if !rm[i] {
+			continue
+		}
+		xi := lo.data.X.Row(i)
+		mat.AddOuter(delta, xi, xi, -1)
+		mat.Axpy(nPrime, -lo.data.Y[i], xi)
+	}
+	return lo.roll(nPrime, lo.eig.UpdateValues(delta), nEff), nil
+}
 
-	// Roll Eq 17's per-eigencoordinate recurrence with w⁽⁰⁾ = 0:
-	// z_i ← γ_i·z_i + β_i with γ_i = 1 − ηλ − 2η·c'_i/n' and
-	// β_i = 2η/n'·(QᵀN')_i, for τ iterations — O(τm).
+// roll evaluates Eq 17's per-eigencoordinate recurrence with w⁽⁰⁾ = 0:
+// z_i ← γ_i·z_i + β_i with γ_i = 1 − ηλ − 2η·c'_i/n' and
+// β_i = 2η/n'·(QᵀN')_i, for τ iterations — O(τm).
+func (lo *LinearOpt) roll(nPrime, cPrime []float64, nEff int) *gbm.Model {
+	m := lo.data.M()
 	eta, lambda := lo.cfg.Eta, lo.cfg.Lambda
 	qtn := lo.eig.Q.MulVecT(nPrime)
 	z := make([]float64, m)
@@ -124,11 +120,12 @@ func (lo *LinearOpt) Update(removed []int) (*gbm.Model, error) {
 			0
 	})
 	w := lo.eig.Q.MulVec(z)
-	return &gbm.Model{Task: dataset.Regression, W: mat.NewDenseData(1, m, w)}, nil
+	return &gbm.Model{Task: dataset.Regression, W: mat.NewDenseData(1, m, w)}
 }
 
 // FootprintBytes returns the offline state's memory: Q, the eigenvalues and
-// N — O(m²), independent of τ (the space win of Sec 5.2).
+// N — O(m²), independent of τ (the space win of Sec 5.2). The derived
+// row-projection memo (at most n·m·8 bytes) is not counted.
 func (lo *LinearOpt) FootprintBytes() int64 {
 	r, c := lo.eig.Q.Dims()
 	return int64(r)*int64(c)*8 + int64(len(lo.eig.Values))*8 + int64(len(lo.n))*8

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/dataset"
 	"repro/internal/gbm"
 	"repro/internal/interp"
@@ -28,6 +26,8 @@ type LogisticOpt struct {
 	// Eigendecomposition of C* and the vector D*.
 	eig   *mat.Eigen
 	dStar []float64
+	// proj memoizes Qᵀ·√(−aᵢ,*)·xᵢ per removed or previewed row.
+	proj *rowProj
 }
 
 // CaptureLogisticOpt performs the PrIU-opt offline phase: PrIU capture for
@@ -79,6 +79,7 @@ func CaptureLogisticOpt(d *dataset.Dataset, cfg gbm.Config, sched *gbm.Schedule,
 		return nil, err
 	}
 	lo.eig = eig
+	lo.proj = newRowProj(eig, d.X, lo.aStar)
 	lo.fullIterations = cfg.Iterations
 	return lo, nil
 }
@@ -92,70 +93,29 @@ func (lo *LogisticOpt) Ts() int { return lo.ts }
 
 // Update computes the updated parameters: PrIU iterations up to ts, then the
 // eigen-space recurrence for the remaining τ−ts iterations with incrementally
-// updated eigenvalues (Eq 18) and the stabilized D*.
+// updated eigenvalues (Eq 18) and the stabilized D*. The eigenvalue
+// corrections come from the row-projection memo: a call projects only the
+// removed rows no earlier call or preview projected, O(|ΔR|·m²), and folds
+// the whole set in O(|R|·m); the rest is the phase-1 PrIU replay and the
+// O((τ−ts)·m + m²) eigenbasis roll. Update runs the what-if cursor over the
+// sorted ids, so a preview of the same set returns identical bits.
 func (lo *LogisticOpt) Update(removed []int) (*gbm.Model, error) {
 	if lo.eig == nil {
 		return nil, ErrNoCapture
 	}
-	d := lo.prov.data
-	rm, err := gbm.RemovalSet(d.N(), removed)
+	rm, ids, err := removalIDs(lo.prov.data.N(), removed)
 	if err != nil {
 		return nil, err
 	}
-	m := d.M()
-	dn := len(rm)
-	nEff := d.N() - dn
-	if nEff <= 0 {
-		return nil, fmt.Errorf("core: removal leaves no samples")
-	}
-
-	// Phase 1: PrIU incremental iterations 0..ts.
-	w := make([]float64, m)
-	lo.prov.updateInto(w, rm, 0, lo.ts)
-
-	// Phase 2 preparation: eigenvalues of C*' = C* − ΔC* where
-	// ΔC* = Σ_{i∈R} aᵢ,*·xᵢxᵢᵀ (aᵢ,* ≤ 0 ⇒ −ΔC* = ZᵀZ with rows √(−aᵢ,*)xᵢ),
-	// and D*' = D* − ΔD*.
-	dStar := mat.CloneVec(lo.dStar)
-	var cPrime []float64
-	if dn == 0 {
-		cPrime = mat.CloneVec(lo.eig.Values)
-	} else {
-		z := mat.NewDense(dn, m)
-		r := 0
-		for i := 0; i < d.N(); i++ {
-			if !rm[i] {
-				continue
-			}
-			xi := d.X.Row(i)
-			s := sqrtAbs(lo.aStar[i])
-			dst := z.Row(r)
-			for j, v := range xi {
-				dst[j] = s * v
-			}
-			mat.Axpy(dStar, -lo.bStar[i]*d.Y[i], xi)
-			r++
-		}
-		cPrime = lo.eig.UpdateValuesGram(z, +1)
-	}
-
-	// Phase 2: coordinate recurrences in the eigenbasis —
-	// z ← (1−ηλ + η·c'ᵢ/n')·z + η·(QᵀD*')ᵢ/n', for τ−ts iterations.
-	eta, lambda := lo.prov.cfg.Eta, lo.prov.cfg.Lambda
-	zc := lo.eig.Q.MulVecT(w)
-	dt := lo.eig.Q.MulVecT(dStar)
-	rem := lo.fullIterations - lo.ts
-	rollRecurrence(zc, rem, func(i int) (gamma, beta, z0 float64) {
-		return 1 - eta*lambda + eta*cPrime[i]/float64(nEff),
-			eta * dt[i] / float64(nEff),
-			zc[i]
-	})
-	w = lo.eig.Q.MulVec(zc)
-	return &gbm.Model{Task: dataset.BinaryClassification, W: mat.NewDenseData(1, m, w)}, nil
+	s := lo.cursor()
+	s.fold(ids)
+	return s.eval(rm)
 }
 
 // FootprintBytes returns the provenance memory: the ts-truncated PrIU caches
-// plus the O(m²) eigen state and the stabilized coefficients.
+// plus the O(m²) eigen state and the stabilized coefficients. The derived
+// row-projection memo (at most n·m·8 bytes) is not captured provenance and
+// is not counted.
 func (lo *LogisticOpt) FootprintBytes() int64 {
 	total := lo.prov.FootprintBytes()
 	r, c := lo.eig.Q.Dims()

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/dataset"
 	"repro/internal/gbm"
 	"repro/internal/mat"
@@ -25,6 +23,8 @@ type MultinomialOpt struct {
 	// Per-class eigendecompositions of C*ₖ and the vectors D*ₖ.
 	eigs  []*mat.Eigen
 	dStar [][]float64
+	// projs[k] memoizes Qₖᵀ·√aₖᵢ,*·xᵢ per removed or previewed row.
+	projs []*rowProj
 }
 
 // CaptureMultinomialOpt performs the PrIU-opt offline phase for multinomial
@@ -89,7 +89,19 @@ func CaptureMultinomialOpt(d *dataset.Dataset, cfg gbm.Config, sched *gbm.Schedu
 		}
 		mo.eigs[k] = eig
 	}
+	mo.projs = newClassProjs(mo.eigs, d.X, mo.aStar)
 	return mo, nil
+}
+
+// newClassProjs builds one empty row-projection memo per class eigenbasis,
+// class k scaling row i by √aₖᵢ,* (aStar is indexed [k*n+i]).
+func newClassProjs(eigs []*mat.Eigen, x *mat.Dense, aStar []float64) []*rowProj {
+	n := x.Rows()
+	projs := make([]*rowProj, len(eigs))
+	for k, eig := range eigs {
+		projs[k] = newRowProj(eig, x, aStar[k*n:(k+1)*n])
+	}
+	return projs
 }
 
 // Model returns the standard-rule initial model.
@@ -99,74 +111,29 @@ func (mo *MultinomialOpt) Model() *gbm.Model { return mo.prov.Model() }
 func (mo *MultinomialOpt) Ts() int { return mo.ts }
 
 // Update computes the updated parameters: PrIU iterations to ts, then the
-// per-class eigen recurrences with incrementally updated eigenvalues.
+// per-class eigen recurrences with incrementally updated eigenvalues. Each
+// class's eigenvalue corrections come from its row-projection memo: a call
+// projects only the removed rows no earlier call or preview projected,
+// O(q·|ΔR|·m²), and folds the whole set in O(q·|R|·m). Update runs the
+// what-if cursor over the sorted ids, so a preview of the same set returns
+// identical bits.
 func (mo *MultinomialOpt) Update(removed []int) (*gbm.Model, error) {
 	if mo.eigs == nil {
 		return nil, ErrNoCapture
 	}
-	d := mo.prov.data
-	rm, err := gbm.RemovalSet(d.N(), removed)
+	rm, ids, err := removalIDs(mo.prov.data.N(), removed)
 	if err != nil {
 		return nil, err
 	}
-	m, q, n := d.M(), mo.prov.q, d.N()
-	dn := len(rm)
-	nEff := n - dn
-	if nEff <= 0 {
-		return nil, fmt.Errorf("core: removal leaves no samples")
-	}
-
-	// Phase 1: PrIU to ts.
-	w := mat.NewDense(q, m)
-	mo.prov.updateInto(w, rm, 0, mo.ts)
-
-	// Phase 2: per-class eigen recurrences.
-	eta, lambda := mo.prov.cfg.Eta, mo.prov.cfg.Lambda
-	rem := mo.fullIterations - mo.ts
-	removedIdx := make([]int, 0, dn)
-	for i := 0; i < n; i++ {
-		if rm[i] {
-			removedIdx = append(removedIdx, i)
-		}
-	}
-	for k := 0; k < q; k++ {
-		dStar := mat.CloneVec(mo.dStar[k])
-		var cPrime []float64
-		if dn == 0 {
-			cPrime = mat.CloneVec(mo.eigs[k].Values)
-		} else {
-			// ΔC*ₖ = Σ_{i∈R} aₖᵢ,*·xᵢxᵢᵀ = ZᵀZ with rows √aₖᵢ,*·xᵢ (a ≥ 0);
-			// removal subtracts it, so the eigenvalue update uses sign −1.
-			z := mat.NewDense(dn, m)
-			for r, i := range removedIdx {
-				xi := d.X.Row(i)
-				s := sqrtAbs(mo.aStar[k*n+i])
-				dst := z.Row(r)
-				for j, v := range xi {
-					dst[j] = s * v
-				}
-				mat.Axpy(dStar, -mo.cStar[k*n+i], xi)
-			}
-			cPrime = mo.eigs[k].UpdateValuesGram(z, -1)
-		}
-		zc := mo.eigs[k].Q.MulVecT(w.Row(k))
-		dt := mo.eigs[k].Q.MulVecT(dStar)
-		for i := 0; i < m; i++ {
-			gamma := 1 - eta*lambda - eta*cPrime[i]/float64(nEff)
-			beta := -eta * dt[i] / float64(nEff)
-			zi := zc[i]
-			for t := 0; t < rem; t++ {
-				zi = gamma*zi + beta
-			}
-			zc[i] = zi
-		}
-		copy(w.Row(k), mo.eigs[k].Q.MulVec(zc))
-	}
-	return &gbm.Model{Task: dataset.MultiClassification, W: w}, nil
+	s := mo.cursor()
+	s.fold(ids)
+	return s.eval(rm)
 }
 
 // FootprintBytes returns the provenance memory: the ts-truncated PrIU caches
-// plus the per-class O(m²) eigen state and stabilized coefficients.
+// plus the per-class O(m²) eigen state and stabilized coefficients. The
+// derived row-projection memos (at most q·n·m·8 bytes) are not captured
+// provenance and are not counted.
 func (mo *MultinomialOpt) FootprintBytes() int64 {
 	total := mo.prov.FootprintBytes()
 	for k := range mo.eigs {

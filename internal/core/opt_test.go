@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/dataset"
@@ -107,18 +108,25 @@ func TestLogisticOptFootprintBelowFullPrIU(t *testing.T) {
 }
 
 func TestEigenGramSignedConsistency(t *testing.T) {
-	// UpdateValuesGram(z, −1) must equal UpdateValuesLowRank(z).
+	// The memo's Gram corrections, shifted with either sign, must equal the
+	// reference ‖Z·qᵢ‖² corrections applied with that sign.
 	a := mat.NewDenseData(3, 3, []float64{4, 1, 0, 1, 3, 1, 0, 1, 2})
 	eig, err := mat.NewEigenSym(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	z := mat.NewDenseData(2, 3, []float64{0.1, 0.2, 0.3, -0.2, 0.1, 0})
-	neg := eig.UpdateValuesGram(z, -1)
-	lr := eig.UpdateValuesLowRank(z)
-	for i := range neg {
-		if neg[i] != lr[i] {
-			t.Fatalf("signed gram update mismatch at %d: %v vs %v", i, neg[i], lr[i])
+	x := mat.NewDenseData(2, 3, []float64{0.1, 0.2, 0.3, -0.2, 0.1, 0})
+	coef := []float64{-0.25, -4}
+	ids := []int{0, 1}
+	s := make([]float64, 3)
+	newRowProj(eig, x, coef).addSquares(s, ids)
+	ref := gramCorrections(eig, x, coef, ids)
+	for _, sign := range []float64{+1, -1} {
+		got := shiftValues(eig.Values, s, sign, len(ids))
+		for i := range got {
+			if want := eig.Values[i] + sign*ref[i]; math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("sign %v: eigenvalue %d = %v, want %v", sign, i, got[i], want)
+			}
 		}
 	}
 }

@@ -40,9 +40,7 @@ func writeDense(bw *binio.Writer, m *mat.Dense) {
 	r, c := m.Dims()
 	bw.I64(int64(r))
 	bw.I64(int64(c))
-	for _, x := range m.Data() {
-		bw.F64(x)
-	}
+	bw.FloatsN(m.Data())
 }
 
 // readDense decodes a matrix written by writeDense, bounded against hostile

@@ -18,7 +18,8 @@ import (
 // the loaders reconstruct the eigenbases with the exact serial loops capture
 // used. For operand sizes below the parallel-kernel cutoffs the rebuild is
 // bitwise-deterministic, so a restored updater reproduces the original's
-// Update output exactly.
+// Update output exactly. The row-projection memos are derived state too:
+// never written, and a restored updater refills them lazily.
 //
 // Each family gets its own magic so a stream can never be decoded by the
 // wrong loader: "PRLO" (linear-opt), "PRBO" (logistic-opt), "PRMO"
@@ -167,6 +168,7 @@ func LoadLogisticOpt(r io.Reader, d *dataset.Dataset) (*LogisticOpt, error) {
 		bStar:          bStar,
 		eig:            eig,
 		dStar:          dStar,
+		proj:           newRowProj(eig, d.X, aStar),
 	}, nil
 }
 
@@ -265,5 +267,6 @@ func LoadMultinomialOpt(r io.Reader, d *dataset.Dataset) (*MultinomialOpt, error
 		cStar:          cStar,
 		eigs:           eigs,
 		dStar:          dStar,
+		projs:          newClassProjs(eigs, d.X, aStar),
 	}, nil
 }

@@ -18,58 +18,64 @@ import (
 // the union's row work instead of k full replays.
 //
 // Bitwise contract: for every applied set R (strictly ascending, as Apply
-// enforces), Eval() returns the exact bits Update(R) would. This holds
-// because the incremental accumulators replay the same floating-point
-// operation sequence as the batch path: rows are folded in ascending index
-// order, each eigenvalue's Gram correction sums dot² over rows in that same
-// order starting from zero, and the per-eigenvector dot uses the identical
-// operand order as Dense.MulVecInto (row element × eigenvector element,
-// ascending coordinates). The remaining algebra (Values[i] ± s, the
-// recurrence tails) is copied verbatim from the Update implementations.
+// enforces), Eval() returns the exact bits Update(R) would. It holds by
+// construction: each opt family's Update is a fresh cursor that folds the
+// sorted removal ids and evaluates, so commit and preview run one code path.
+// Both read their per-row eigen projections P[r] = Qᵀ·z_r from the updater's
+// shared row-projection memo (rowProj), which computes each row's projection
+// once, with one fixed operand order, whichever caller asks first; the
+// per-eigenvalue Gram corrections Σ_{r∈R} P[r][j]² then fold rows in
+// ascending id order starting from zero, however the set was split across
+// Apply calls and forks.
 
 // WhatIfState is a forkable what-if cursor. Apply folds additional removed
 // row ids into the state (ids must be strictly ascending across all Apply
-// calls — the order the batch Update paths scan rows in); Fork returns an
-// independent copy sharing only immutable captured state; Eval returns the
-// model the updater's Update would produce for the applied set. A state
-// whose Apply returned an error must be discarded.
+// calls — the order the batch Update paths fold rows in); Fork returns an
+// independent copy sharing only captured state and the updater's
+// concurrency-safe row-projection memo; Eval returns the model the
+// updater's Update would produce for the applied set. A rejected Apply
+// leaves the state unchanged.
 type WhatIfState interface {
 	Apply(ids []int) error
 	Fork() WhatIfState
 	Eval() (*gbm.Model, error)
 }
 
-// extendWhatIfIDs validates that ids are in range and strictly ascending
-// past the current tail, returning the extended id list. Validation is
-// complete before the caller mutates any accumulator, so a rejected batch
-// leaves the state usable.
-func extendWhatIfIDs(cur, ids []int, n int) ([]int, error) {
+// checkWhatIfIDs validates that ids are in range and strictly ascending past
+// the current tail cur. Validation is complete before the caller mutates any
+// accumulator, so a rejected batch leaves the state usable.
+func checkWhatIfIDs(cur, ids []int, n int) error {
 	last := -1
 	if len(cur) > 0 {
 		last = cur[len(cur)-1]
 	}
 	for _, id := range ids {
 		if id < 0 || id >= n {
-			return nil, fmt.Errorf("core: whatif id %d out of range [0,%d)", id, n)
+			return fmt.Errorf("core: whatif id %d out of range [0,%d)", id, n)
 		}
 		if id <= last {
-			return nil, fmt.Errorf("core: whatif ids must be strictly ascending (%d after %d)", id, last)
+			return fmt.Errorf("core: whatif ids must be strictly ascending (%d after %d)", id, last)
 		}
 		last = id
 	}
-	return append(cur, ids...), nil
+	return nil
 }
 
 // linearWhatIf incrementally maintains N' = N − Σ yᵢxᵢ and the per-eigenvalue
 // Gram corrections ‖ΔX·qⱼ‖² for LinearOpt (Sec 5.2).
 type linearWhatIf struct {
-	lo *LinearOpt
-	// qt is Qᵀ (rows are eigenvectors), shared read-only across forks so the
-	// per-row dot products run over contiguous memory.
-	qt     *mat.Dense
+	lo     *LinearOpt
 	ids    []int
 	nPrime []float64
 	sSum   []float64
+}
+
+func (lo *LinearOpt) cursor() *linearWhatIf {
+	return &linearWhatIf{
+		lo:     lo,
+		nPrime: mat.CloneVec(lo.n),
+		sSum:   make([]float64, lo.data.M()),
+	}
 }
 
 // WhatIf returns a forkable what-if cursor over the capture.
@@ -77,35 +83,29 @@ func (lo *LinearOpt) WhatIf() (WhatIfState, error) {
 	if lo.eig == nil {
 		return nil, ErrNoCapture
 	}
-	return &linearWhatIf{
-		lo:     lo,
-		qt:     lo.eig.Q.T(),
-		nPrime: mat.CloneVec(lo.n),
-		sSum:   make([]float64, lo.data.M()),
-	}, nil
+	return lo.cursor(), nil
+}
+
+// fold adds validated ids, ascending past the current tail, to the sums.
+func (s *linearWhatIf) fold(ids []int) {
+	for _, id := range ids {
+		mat.Axpy(s.nPrime, -s.lo.data.Y[id], s.lo.data.X.Row(id))
+	}
+	s.lo.proj.addSquares(s.sSum, ids)
+	s.ids = append(s.ids, ids...)
 }
 
 func (s *linearWhatIf) Apply(ids []int) error {
-	ext, err := extendWhatIfIDs(s.ids, ids, s.lo.data.N())
-	if err != nil {
+	if err := checkWhatIfIDs(s.ids, ids, s.lo.data.N()); err != nil {
 		return err
 	}
-	for _, id := range ids {
-		xi := s.lo.data.X.Row(id)
-		mat.Axpy(s.nPrime, -s.lo.data.Y[id], xi)
-		for j := range s.sSum {
-			d := mat.Dot(xi, s.qt.Row(j))
-			s.sSum[j] += d * d
-		}
-	}
-	s.ids = ext
+	s.fold(ids)
 	return nil
 }
 
 func (s *linearWhatIf) Fork() WhatIfState {
 	return &linearWhatIf{
 		lo:     s.lo,
-		qt:     s.qt,
 		ids:    append([]int(nil), s.ids...),
 		nPrime: mat.CloneVec(s.nPrime),
 		sSum:   mat.CloneVec(s.sSum),
@@ -114,43 +114,34 @@ func (s *linearWhatIf) Fork() WhatIfState {
 
 func (s *linearWhatIf) Eval() (*gbm.Model, error) {
 	dn := len(s.ids)
-	m := s.lo.data.M()
-	if dn == 0 || dn >= m {
-		// Regimes the incremental Gram accumulation does not model: the
-		// empty set clones the eigenvalues and Δn ≥ m switches to the dense
-		// congruence — both served exactly by the (pure) batch path.
+	if dn >= s.lo.data.M() {
+		// Δn ≥ m switches to the dense congruence, which the Gram
+		// accumulation does not model; the (pure) batch path serves it.
 		return s.lo.Update(s.ids)
 	}
 	nEff := s.lo.data.N() - dn
 	if nEff <= 0 {
 		return nil, fmt.Errorf("core: removal leaves no samples")
 	}
-	cPrime := make([]float64, m)
-	for i := range cPrime {
-		cPrime[i] = s.lo.eig.Values[i] - s.sSum[i]
-	}
-	eta, lambda := s.lo.cfg.Eta, s.lo.cfg.Lambda
-	qtn := s.lo.eig.Q.MulVecT(s.nPrime)
-	z := make([]float64, m)
-	rollRecurrence(z, s.lo.cfg.Iterations, func(i int) (gamma, beta, z0 float64) {
-		return 1 - eta*lambda - 2*eta*cPrime[i]/float64(nEff),
-			2 * eta / float64(nEff) * qtn[i],
-			0
-	})
-	w := s.lo.eig.Q.MulVec(z)
-	return &gbm.Model{Task: dataset.Regression, W: mat.NewDenseData(1, m, w)}, nil
+	return s.lo.roll(s.nPrime, shiftValues(s.lo.eig.Values, s.sSum, -1, dn), nEff), nil
 }
 
 // logisticWhatIf incrementally maintains D*' and the Gram corrections
 // ‖Z·qⱼ‖² (rows √(−aᵢ,*)·xᵢ) for LogisticOpt (Sec 5.4). The PrIU phase-1
 // roll to ts is a function of the full set and runs at Eval.
 type logisticWhatIf struct {
-	lo      *LogisticOpt
-	qt      *mat.Dense
-	ids     []int
-	dStar   []float64
-	sSum    []float64
-	scratch []float64
+	lo    *LogisticOpt
+	ids   []int
+	dStar []float64
+	sSum  []float64
+}
+
+func (lo *LogisticOpt) cursor() *logisticWhatIf {
+	return &logisticWhatIf{
+		lo:    lo,
+		dStar: mat.CloneVec(lo.dStar),
+		sSum:  make([]float64, lo.prov.data.M()),
+	}
 }
 
 // WhatIf returns a forkable what-if cursor over the capture.
@@ -158,71 +149,60 @@ func (lo *LogisticOpt) WhatIf() (WhatIfState, error) {
 	if lo.eig == nil {
 		return nil, ErrNoCapture
 	}
-	m := lo.prov.data.M()
-	return &logisticWhatIf{
-		lo:      lo,
-		qt:      lo.eig.Q.T(),
-		dStar:   mat.CloneVec(lo.dStar),
-		sSum:    make([]float64, m),
-		scratch: make([]float64, m),
-	}, nil
+	return lo.cursor(), nil
+}
+
+// fold adds validated ids, ascending past the current tail, to the sums.
+func (s *logisticWhatIf) fold(ids []int) {
+	d := s.lo.prov.data
+	for _, id := range ids {
+		mat.Axpy(s.dStar, -s.lo.bStar[id]*d.Y[id], d.X.Row(id))
+	}
+	s.lo.proj.addSquares(s.sSum, ids)
+	s.ids = append(s.ids, ids...)
 }
 
 func (s *logisticWhatIf) Apply(ids []int) error {
-	d := s.lo.prov.data
-	ext, err := extendWhatIfIDs(s.ids, ids, d.N())
-	if err != nil {
+	if err := checkWhatIfIDs(s.ids, ids, s.lo.prov.data.N()); err != nil {
 		return err
 	}
-	for _, id := range ids {
-		xi := d.X.Row(id)
-		sc := sqrtAbs(s.lo.aStar[id])
-		row := s.scratch
-		for j, v := range xi {
-			row[j] = sc * v
-		}
-		for j := range s.sSum {
-			dv := mat.Dot(row, s.qt.Row(j))
-			s.sSum[j] += dv * dv
-		}
-		mat.Axpy(s.dStar, -s.lo.bStar[id]*d.Y[id], xi)
-	}
-	s.ids = ext
+	s.fold(ids)
 	return nil
 }
 
 func (s *logisticWhatIf) Fork() WhatIfState {
 	return &logisticWhatIf{
-		lo:      s.lo,
-		qt:      s.qt,
-		ids:     append([]int(nil), s.ids...),
-		dStar:   mat.CloneVec(s.dStar),
-		sSum:    mat.CloneVec(s.sSum),
-		scratch: make([]float64, len(s.scratch)),
+		lo:    s.lo,
+		ids:   append([]int(nil), s.ids...),
+		dStar: mat.CloneVec(s.dStar),
+		sSum:  mat.CloneVec(s.sSum),
 	}
 }
 
 func (s *logisticWhatIf) Eval() (*gbm.Model, error) {
-	dn := len(s.ids)
-	if dn == 0 {
-		return s.lo.Update(nil)
+	rm, err := gbm.RemovalSet(s.lo.prov.data.N(), s.ids)
+	if err != nil {
+		return nil, err
 	}
+	return s.eval(rm)
+}
+
+// eval runs PrIU to ts on the removal set rm (the applied ids), then the
+// eigen-space recurrence for the remaining τ−ts iterations with Eq 18's
+// eigenvalues of C*' = C* − ΔC* (aᵢ,* ≤ 0 ⇒ −ΔC* = ZᵀZ, hence sign +1) and
+// the stabilized D*'.
+func (s *logisticWhatIf) eval(rm map[int]bool) (*gbm.Model, error) {
 	d := s.lo.prov.data
 	m := d.M()
+	dn := len(s.ids)
 	nEff := d.N() - dn
 	if nEff <= 0 {
 		return nil, fmt.Errorf("core: removal leaves no samples")
 	}
-	rm, err := gbm.RemovalSet(d.N(), s.ids)
-	if err != nil {
-		return nil, err
-	}
 	w := make([]float64, m)
 	s.lo.prov.updateInto(w, rm, 0, s.lo.ts)
-	cPrime := make([]float64, m)
-	for i := range cPrime {
-		cPrime[i] = s.lo.eig.Values[i] + s.sSum[i]
-	}
+	cPrime := shiftValues(s.lo.eig.Values, s.sSum, +1, dn)
+	// z ← (1−ηλ + η·c'ᵢ/n')·z + η·(QᵀD*')ᵢ/n', for τ−ts iterations.
 	eta, lambda := s.lo.prov.cfg.Eta, s.lo.prov.cfg.Lambda
 	zc := s.lo.eig.Q.MulVecT(w)
 	dt := s.lo.eig.Q.MulVecT(s.dStar)
@@ -240,12 +220,24 @@ func (s *logisticWhatIf) Eval() (*gbm.Model, error) {
 // Gram corrections accumulate per applied row, the per-class eigen
 // recurrences run at Eval.
 type multinomialWhatIf struct {
-	mo      *MultinomialOpt
-	qts     []*mat.Dense
-	ids     []int
-	dStar   [][]float64
-	sSum    [][]float64
-	scratch []float64
+	mo    *MultinomialOpt
+	ids   []int
+	dStar [][]float64
+	sSum  [][]float64
+}
+
+func (mo *MultinomialOpt) cursor() *multinomialWhatIf {
+	m, q := mo.prov.data.M(), mo.prov.q
+	s := &multinomialWhatIf{
+		mo:    mo,
+		dStar: make([][]float64, q),
+		sSum:  make([][]float64, q),
+	}
+	for k := 0; k < q; k++ {
+		s.dStar[k] = mat.CloneVec(mo.dStar[k])
+		s.sSum[k] = make([]float64, m)
+	}
+	return s
 }
 
 // WhatIf returns a forkable what-if cursor over the capture.
@@ -253,56 +245,36 @@ func (mo *MultinomialOpt) WhatIf() (WhatIfState, error) {
 	if mo.eigs == nil {
 		return nil, ErrNoCapture
 	}
-	m, q := mo.prov.data.M(), mo.prov.q
-	s := &multinomialWhatIf{
-		mo:      mo,
-		qts:     make([]*mat.Dense, q),
-		dStar:   make([][]float64, q),
-		sSum:    make([][]float64, q),
-		scratch: make([]float64, m),
+	return mo.cursor(), nil
+}
+
+// fold adds validated ids, ascending past the current tail, to the sums.
+func (s *multinomialWhatIf) fold(ids []int) {
+	d := s.mo.prov.data
+	n := d.N()
+	for k := range s.dStar {
+		for _, id := range ids {
+			mat.Axpy(s.dStar[k], -s.mo.cStar[k*n+id], d.X.Row(id))
+		}
+		s.mo.projs[k].addSquares(s.sSum[k], ids)
 	}
-	for k := 0; k < q; k++ {
-		s.qts[k] = mo.eigs[k].Q.T()
-		s.dStar[k] = mat.CloneVec(mo.dStar[k])
-		s.sSum[k] = make([]float64, m)
-	}
-	return s, nil
+	s.ids = append(s.ids, ids...)
 }
 
 func (s *multinomialWhatIf) Apply(ids []int) error {
-	d := s.mo.prov.data
-	n := d.N()
-	ext, err := extendWhatIfIDs(s.ids, ids, n)
-	if err != nil {
+	if err := checkWhatIfIDs(s.ids, ids, s.mo.prov.data.N()); err != nil {
 		return err
 	}
-	for _, id := range ids {
-		xi := d.X.Row(id)
-		for k := range s.qts {
-			sc := sqrtAbs(s.mo.aStar[k*n+id])
-			row := s.scratch
-			for j, v := range xi {
-				row[j] = sc * v
-			}
-			for j := range s.sSum[k] {
-				dv := mat.Dot(row, s.qts[k].Row(j))
-				s.sSum[k][j] += dv * dv
-			}
-			mat.Axpy(s.dStar[k], -s.mo.cStar[k*n+id], xi)
-		}
-	}
-	s.ids = ext
+	s.fold(ids)
 	return nil
 }
 
 func (s *multinomialWhatIf) Fork() WhatIfState {
 	f := &multinomialWhatIf{
-		mo:      s.mo,
-		qts:     s.qts,
-		ids:     append([]int(nil), s.ids...),
-		dStar:   make([][]float64, len(s.dStar)),
-		sSum:    make([][]float64, len(s.sSum)),
-		scratch: make([]float64, len(s.scratch)),
+		mo:    s.mo,
+		ids:   append([]int(nil), s.ids...),
+		dStar: make([][]float64, len(s.dStar)),
+		sSum:  make([][]float64, len(s.sSum)),
 	}
 	for k := range s.dStar {
 		f.dStar[k] = mat.CloneVec(s.dStar[k])
@@ -312,29 +284,30 @@ func (s *multinomialWhatIf) Fork() WhatIfState {
 }
 
 func (s *multinomialWhatIf) Eval() (*gbm.Model, error) {
-	dn := len(s.ids)
-	if dn == 0 {
-		return s.mo.Update(nil)
+	rm, err := gbm.RemovalSet(s.mo.prov.data.N(), s.ids)
+	if err != nil {
+		return nil, err
 	}
+	return s.eval(rm)
+}
+
+// eval runs PrIU to ts on the removal set rm (the applied ids), then each
+// class's eigen recurrence with Eq 18's eigenvalues of C*ₖ' = C*ₖ − ΔC*ₖ
+// (aₖᵢ,* ≥ 0 ⇒ ΔC*ₖ = ZᵀZ, hence sign −1) and D*ₖ'.
+func (s *multinomialWhatIf) eval(rm map[int]bool) (*gbm.Model, error) {
 	d := s.mo.prov.data
 	m, q := d.M(), s.mo.prov.q
+	dn := len(s.ids)
 	nEff := d.N() - dn
 	if nEff <= 0 {
 		return nil, fmt.Errorf("core: removal leaves no samples")
-	}
-	rm, err := gbm.RemovalSet(d.N(), s.ids)
-	if err != nil {
-		return nil, err
 	}
 	w := mat.NewDense(q, m)
 	s.mo.prov.updateInto(w, rm, 0, s.mo.ts)
 	eta, lambda := s.mo.prov.cfg.Eta, s.mo.prov.cfg.Lambda
 	rem := s.mo.fullIterations - s.mo.ts
 	for k := 0; k < q; k++ {
-		cPrime := make([]float64, m)
-		for i := range cPrime {
-			cPrime[i] = s.mo.eigs[k].Values[i] - s.sSum[k][i]
-		}
+		cPrime := shiftValues(s.mo.eigs[k].Values, s.sSum[k], -1, dn)
 		zc := s.mo.eigs[k].Q.MulVecT(w.Row(k))
 		dt := s.mo.eigs[k].Q.MulVecT(s.dStar[k])
 		for i := 0; i < m; i++ {

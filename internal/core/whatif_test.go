@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -23,7 +24,7 @@ func assertBitwise(t *testing.T, name string, got, want *gbm.Model) {
 		t.Fatalf("%s: length %d vs %d", name, len(gv), len(wv))
 	}
 	for i := range gv {
-		if gv[i] != wv[i] {
+		if math.Float64bits(gv[i]) != math.Float64bits(wv[i]) {
 			t.Fatalf("%s: coordinate %d differs: %v vs %v", name, i, gv[i], wv[i])
 		}
 	}

@@ -20,9 +20,10 @@ type Eigen struct {
 	Q *Dense
 }
 
-// jacobiMaxSweeps bounds the cyclic-Jacobi iteration; symmetric matrices of
-// the sizes used here (feature-space dimension) converge in well under this
-// many sweeps.
+// jacobiMaxSweeps bounds the cyclic-Jacobi iteration. Cyclic Jacobi
+// converges quadratically once the off-diagonal mass is small, so symmetric
+// matrices of the sizes used here (feature-space dimension) stop after about
+// ten sweeps; the cap only guards against a threshold round-off never meets.
 const jacobiMaxSweeps = 64
 
 // NewEigenSym computes the eigendecomposition of the symmetric matrix a using
@@ -42,20 +43,26 @@ const jacobiMaxSweeps = 64
 // at any worker count. The same tournament schedule runs serially on a single
 // worker, so there is no separate serial algorithm to diverge from.
 //
-// The off-diagonal norm that drives convergence is maintained incrementally:
-// annihilating (p,q) reduces the upper-triangle sum of squares by exactly
-// apq² in exact arithmetic, so each round subtracts Σ apq² instead of
-// rescanning O(n²) entries. Because the running value accumulates round-off,
-// a full rescan confirms convergence before the loop exits.
+// Convergence is tested at the top of every sweep by rescanning the
+// upper-triangle sum of squares: O(n²) against the sweep's O(n³) rotations.
+// A running value decremented by each annihilated apq² would skip the
+// rescans, but it keeps the round-off of its first O(‖A‖²) value and never
+// falls below the threshold, so converged matrices would run to the cap.
 func NewEigenSym(a *Dense) (*Eigen, error) {
+	e, _, err := eigenSym(a)
+	return e, err
+}
+
+// eigenSym is NewEigenSym that also reports the number of Jacobi sweeps run.
+func eigenSym(a *Dense) (*Eigen, int, error) {
 	if a.rows != a.cols {
-		return nil, errors.New("mat: NewEigenSym requires a square matrix")
+		return nil, 0, errors.New("mat: NewEigenSym requires a square matrix")
 	}
 	n := a.rows
 	w := a.Clone()
 	q := Identity(n)
 	if n == 1 {
-		return &Eigen{Values: []float64{w.At(0, 0)}, Q: q}, nil
+		return &Eigen{Values: []float64{w.At(0, 0)}, Q: q}, 0, nil
 	}
 	// Scale-aware stopping threshold.
 	var fro float64
@@ -63,7 +70,6 @@ func NewEigenSym(a *Dense) (*Eigen, error) {
 		fro += v * v
 	}
 	tol := 1e-28 * (fro + 1)
-	off := offUpper(w)
 
 	// Round-robin tournament state: player 0 stays fixed, the rest rotate one
 	// slot per round; odd n adds a bye slot.
@@ -83,14 +89,8 @@ func NewEigenSym(a *Dense) (*Eigen, error) {
 	sn := make([]float64, half)
 	grain := parGrain(12 * n)
 
-	for sweep := 0; sweep < jacobiMaxSweeps; sweep++ {
-		if off <= tol {
-			// The running value carries round-off; rescan before trusting it.
-			off = offUpper(w)
-			if off <= tol {
-				break
-			}
-		}
+	sweeps := 0
+	for ; sweeps < jacobiMaxSweeps && offUpper(w) > tol; sweeps++ {
 		for r := 0; r < rounds; r++ {
 			np := 0
 			for i := 0; i < half; i++ {
@@ -117,11 +117,7 @@ func NewEigenSym(a *Dense) (*Eigen, error) {
 				c := 1 / math.Sqrt(t*t+1)
 				s := t * c
 				pp[np], pq[np], cs[np], sn[np] = p, qi, c, s
-				off -= apq * apq
 				np++
-			}
-			if off < 0 {
-				off = 0
 			}
 			if np > 0 {
 				// Phase 1: W ← W·G, pair-disjoint column pairs.
@@ -160,7 +156,7 @@ func NewEigenSym(a *Dense) (*Eigen, error) {
 			sortedQ.Set(r, newCol, q.At(r, oldCol))
 		}
 	}
-	return &Eigen{Values: sortedVals, Q: sortedQ}, nil
+	return &Eigen{Values: sortedVals, Q: sortedQ}, sweeps, nil
 }
 
 // offUpper returns the sum of squares of the strictly upper triangle.
@@ -246,38 +242,4 @@ func (e *Eigen) UpdateValues(delta *Dense) []float64 {
 		}
 	})
 	return out
-}
-
-// UpdateValuesGram returns the incremental eigenvalue update for a signed
-// Gram perturbation delta = sign·ΔZᵀΔZ: Values[i] + sign·‖ΔZ·qᵢ‖². It costs
-// O(k·n²) for a k×n ΔZ instead of forming the n×n delta.
-func (e *Eigen) UpdateValuesGram(dz *Dense, sign float64) []float64 {
-	n := len(e.Values)
-	if dz.cols != n {
-		panic("mat: UpdateValuesGram dimension mismatch")
-	}
-	out := make([]float64, n)
-	par.For(n, parGrain(dz.rows*n), func(lo, hi int) {
-		col := make([]float64, n)
-		prod := make([]float64, dz.rows)
-		for i := lo; i < hi; i++ {
-			for r := 0; r < n; r++ {
-				col[r] = e.Q.At(r, i)
-			}
-			dz.MulVecInto(prod, col)
-			var s float64
-			for _, v := range prod {
-				s += v * v
-			}
-			out[i] = e.Values[i] + sign*s
-		}
-	})
-	return out
-}
-
-// UpdateValuesLowRank is UpdateValues specialized to delta = -ΔXᵀΔX given the
-// removed-row matrix ΔX (k×n). It costs O(k·n²) instead of forming the n×n
-// delta: (Qᵀ(−ΔXᵀΔX)Q)[i][i] = −‖ΔX·qᵢ‖².
-func (e *Eigen) UpdateValuesLowRank(dx *Dense) []float64 {
-	return e.UpdateValuesGram(dx, -1)
 }

@@ -364,10 +364,18 @@ func TestEigenUpdateValuesLowRankMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// For delta = −ΔXᵀΔX the congruence diagonal is −‖ΔX·qᵢ‖², the low-rank
+	// form PrIU-opt takes per removed row.
 	dx := randDense(rng, 3, n).Scale(0.1)
 	delta := dx.Gram().Scale(-1)
 	dense := eig.UpdateValues(delta)
-	lowrank := eig.UpdateValuesLowRank(dx)
+	lowrank := make([]float64, n)
+	prod := make([]float64, dx.Rows())
+	qt := eig.Q.T()
+	for i := range lowrank {
+		dx.MulVecInto(prod, qt.Row(i))
+		lowrank[i] = eig.Values[i] - Dot(prod, prod)
+	}
 	for i := range dense {
 		if math.Abs(dense[i]-lowrank[i]) > 1e-9 {
 			t.Fatalf("low-rank update mismatch at %d: %v vs %v", i, lowrank[i], dense[i])
@@ -583,5 +591,47 @@ func TestStringForms(t *testing.T) {
 	big := NewDense(20, 20)
 	if big.String() == "" {
 		t.Fatal("empty String for big matrix")
+	}
+}
+
+// logisticCStar builds a stabilized logistic-opt matrix C* = Σᵢ aᵢ·xᵢxᵢᵀ
+// over n two-class Gaussian rows (the GenerateBinary model: unit noise plus
+// ±margin along a random direction), with the logistic curvature weights
+// aᵢ = −σ(tᵢ)(1−σ(tᵢ)) at tᵢ = yᵢ·xᵢᵀw for a model w along that direction.
+func logisticCStar(rng *rand.Rand, n, m int) *Dense {
+	dir := randVecTest(rng, m)
+	ScaleVec(dir, 1/Norm2(dir))
+	z := NewDense(n, m)
+	for i := 0; i < n; i++ {
+		label := 1.0
+		if rng.Intn(2) == 0 {
+			label = -1
+		}
+		row := z.Row(i)
+		for j := range row {
+			row[j] = rng.NormFloat64() + label*1.2*dir[j]
+		}
+		p := 1 / (1 + math.Exp(-2*label*Dot(row, dir)))
+		ScaleVec(row, math.Sqrt(p*(1-p)))
+	}
+	return z.Gram().Scale(-1)
+}
+
+func TestEigenSymStopsWhenConverged(t *testing.T) {
+	// A converged matrix must end the sweep loop well before the cap. A
+	// running off-diagonal value (rather than a rescan) keeps round-off
+	// above the threshold and ran seed 1 to all 64 sweeps.
+	for seed := int64(1); seed <= 3; seed++ {
+		a := logisticCStar(rand.New(rand.NewSource(seed)), 2000, 100)
+		eig, sweeps, err := eigenSym(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sweeps > 12 {
+			t.Fatalf("seed %d: %d sweeps, want <= 12", seed, sweeps)
+		}
+		if !eig.Reconstruct().Equal(a, 1e-9*Norm2(a.Data())) {
+			t.Fatalf("seed %d: QΛQᵀ != A", seed)
+		}
 	}
 }

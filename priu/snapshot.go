@@ -61,9 +61,7 @@ func WriteSessionSnapshot(w io.Writer, family string, ds TrainingSet, u Updater,
 		bw.U64(uint64(d.Classes))
 		bw.U64(uint64(d.N()))
 		bw.U64(uint64(d.M()))
-		for _, v := range d.X.Data() {
-			bw.F64(v)
-		}
+		bw.FloatsN(d.X.Data())
 		bw.Floats(d.Y)
 	case *dataset.SparseDataset:
 		rows, cols := d.X.Dims()

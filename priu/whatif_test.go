@@ -149,3 +149,74 @@ func TestWhatIfPlannerRejectsBadSets(t *testing.T) {
 		t.Fatal("post-rejection eval differs from Update")
 	}
 }
+
+func TestWhatIfConcurrentWithUpdateSharesMemo(t *testing.T) {
+	// Previews run off the session lock while deletions commit, so the
+	// planner and Update read and fill one updater's row-projection memo at
+	// the same time. Every result must still equal a twin updater's
+	// sequential answer bit for bit (run under -race to check the memo).
+	testWorkers(t)
+	for _, family := range []string{FamilyLinearOpt, FamilyLogisticOpt, FamilyMultinomialOpt} {
+		ds := denseSet(t, family)
+		u, err := Train(family, ds, testOpts()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := Train(family, ds, testOpts()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets := [][]int{{4, 9, 21}, {4, 9, 21, 40}, {4, 9, 33}, {7, 50, 51}}
+		logs := [][]int{{40, 4}, {40, 4, 33, 9}, {40, 4, 33, 9, 51, 7}}
+		want := func(ids []int) *Model {
+			m, err := twin.Update(ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+		wantSets := make([]*Model, len(sets))
+		for i, s := range sets {
+			wantSets[i] = want(s)
+		}
+		wantLogs := make([]*Model, len(logs))
+		for i, l := range logs {
+			wantLogs[i] = want(l)
+		}
+
+		errs := make(chan string, 2)
+		go func() {
+			for round := 0; round < 3; round++ {
+				p, err := NewWhatIfPlanner(u)
+				if err != nil {
+					errs <- err.Error()
+					return
+				}
+				for i, r := range p.EvalBatch(sets, 2) {
+					if r.Err != nil || !bitwiseEqual(r.Model, wantSets[i]) {
+						errs <- family + ": preview differs from sequential Update"
+						return
+					}
+				}
+			}
+			errs <- ""
+		}()
+		go func() {
+			for round := 0; round < 3; round++ {
+				for i, l := range logs {
+					m, err := u.Update(l)
+					if err != nil || !bitwiseEqual(m, wantLogs[i]) {
+						errs <- family + ": concurrent Update differs from sequential Update"
+						return
+					}
+				}
+			}
+			errs <- ""
+		}()
+		for i := 0; i < 2; i++ {
+			if msg := <-errs; msg != "" {
+				t.Fatal(msg)
+			}
+		}
+	}
+}
